@@ -49,7 +49,6 @@ from .obs import (
     read_telemetry,
 )
 from .dagman import (
-    flatten_dagman_file,
     lint_dagman,
     parse_dagman_file,
     parse_dagman_text,
@@ -93,7 +92,6 @@ __all__ = [
     "eligibility_profile",
     "fifo_schedule",
     "fig2_catalog",
-    "flatten_dagman_file",
     "get_workload",
     "inspiral",
     "is_ic_optimal",

@@ -320,12 +320,17 @@ def _resume_hint(checkpoint) -> None:
 
 
 def _cmd_prio(args: argparse.Namespace) -> int:
-    result = prioritize_dagman_file(
-        args.dagfile,
-        output=args.output,
-        instrument_jsdfs=args.jsdfs,
-        respect_done=args.rescue,
-    )
+    try:
+        result = prioritize_dagman_file(
+            args.dagfile,
+            output=args.output,
+            instrument_jsdfs=args.jsdfs,
+            respect_done=args.rescue,
+        )
+    except (OSError, ValueError) as exc:
+        # Unreadable or invalid input: parse and import errors, cycles,
+        # a SPLICE file without -o.
+        raise CliError(str(exc)) from None
     print(result.summary())
     if args.verbose:
         dag = result.dagman.to_dag()
@@ -885,18 +890,14 @@ def _cmd_rounds(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from .dagman.importer import DagmanImportError, import_dagman_file
+    from .dagman.importer import DagmanImportError, inline_splices
     from .dagman.runner import JobState, SubprocessExecutor, run_workflow
 
     path = Path(args.dagfile)
-    dagman = parse_dagman_file(path)
-    if dagman.splices:
-        # Splices are inlined at submit time; SUBDAG EXTERNAL nodes stay
-        # opaque (a real DAGMan would hand them to a nested instance).
-        try:
-            dagman = import_dagman_file(path, expand_subdags=False).flat
-        except DagmanImportError as exc:
-            raise CliError(str(exc)) from None
+    try:
+        dagman = inline_splices(parse_dagman_file(path), path)
+    except DagmanImportError as exc:
+        raise CliError(str(exc)) from None
     if args.prioritize:
         from .core.tool import prioritize_dagman
 

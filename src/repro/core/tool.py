@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..dagman.importer import inline_splices
 from ..dagman.jsdf import instrument_jsdf_file
 from ..dagman.model import DagmanFile
 from ..dagman.parser import parse_dagman_file
@@ -106,16 +107,13 @@ def prioritize_dagman_file(
     """
     path = Path(path)
     dagman = parse_dagman_file(path)
-    if dagman.splices:
-        if output is None:
-            raise ValueError(
-                f"{path} contains SPLICE statements; flattening rewrites the "
-                "file structure, so pass output= (or the CLI's -o) to write "
-                "the flattened, instrumented workflow elsewhere"
-            )
-        from ..dagman.splice import flatten_dagman_file
-
-        dagman = flatten_dagman_file(path)
+    if dagman.splices and output is None:
+        raise ValueError(
+            f"{path} contains SPLICE statements; flattening rewrites the "
+            "file structure, so pass output= (or the CLI's -o) to write "
+            "the flattened, instrumented workflow elsewhere"
+        )
+    dagman = inline_splices(dagman, path)
     result = prioritize_dagman(dagman, **prio_kwargs)
     write_dagman_file(dagman, output if output is not None else path)
     if instrument_jsdfs:

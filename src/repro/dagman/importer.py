@@ -66,6 +66,7 @@ __all__ = [
     "MAX_IMPORT_DEPTH",
     "import_dagman_file",
     "import_dagman_tree",
+    "inline_splices",
 ]
 
 #: Include-nesting ceiling; beyond this the tree is assumed degenerate.
@@ -204,31 +205,110 @@ def _statement_order(dagman: DagmanFile) -> list[str]:
     return order
 
 
-class _Resolver:
-    """Recursive flattening over an injected file reader.
+@dataclass(frozen=True)
+class _FileAccess:
+    """How a tree walk reaches its files: an in-memory mapping or disk.
 
     ``read(key)`` returns file text or None when missing; ``resolve(base,
     ref)`` canonicalizes an include reference against the directory of
     the including file's *key*; ``display(key)`` is the human-facing
     name used in errors and metadata; ``find_rescue(key)`` returns the
-    key of the newest rescue companion, or None.
+    key of the newest rescue companion, or None.  ``root_dir`` is the
+    root file's directory on disk, None for an in-memory tree.
     """
+
+    read: Callable[[str], str | None]
+    resolve: Callable[[str, str], str]
+    display: Callable[[str], str]
+    find_rescue: Callable[[str], str | None]
+    root_key: str
+    root_dir: Path | None
+
+
+def _tree_access(tree: Mapping[str, str], root: str) -> _FileAccess:
+    """File access into *tree* (POSIX-style relative path -> text)."""
+    files = dict(tree)
+
+    def resolve(base: str, ref: str) -> str:
+        return posixpath.normpath(posixpath.join(posixpath.dirname(base), ref))
+
+    def find_rescue(key: str) -> str | None:
+        return _newest_rescue(
+            [k for k in files if k.startswith(key + ".rescue")], key
+        )
+
+    return _FileAccess(
+        read=files.get,
+        resolve=resolve,
+        display=lambda key: key,
+        find_rescue=find_rescue,
+        root_key=root,
+        root_dir=None,
+    )
+
+
+def _disk_access(
+    path: str | Path, rescue_file: str | Path | None = None
+) -> _FileAccess:
+    """File access to the on-disk tree rooted at *path*; *rescue_file*
+    overrides the root's rescue companion."""
+    root = Path(path).resolve()
+    root_dir = root.parent
+    override = (
+        str(Path(rescue_file).resolve()) if rescue_file is not None else None
+    )
+
+    def read(key: str) -> str | None:
+        try:
+            return Path(key).read_text()
+        except OSError:
+            return None
+
+    def resolve(base: str, ref: str) -> str:
+        return str((Path(base).parent / ref).resolve())
+
+    def display(key: str) -> str:
+        try:
+            return str(Path(key).relative_to(root_dir))
+        except ValueError:
+            return key
+
+    def find_rescue(key: str) -> str | None:
+        if override is not None and key == str(root):
+            return override
+        target = Path(key)
+        candidates = [
+            str(p)
+            for p in target.parent.glob(target.name + ".rescue*")
+            if p.is_file()
+        ]
+        return _newest_rescue(candidates, key)
+
+    return _FileAccess(
+        read=read,
+        resolve=resolve,
+        display=display,
+        find_rescue=find_rescue,
+        root_key=str(root),
+        root_dir=root_dir,
+    )
+
+
+class _Resolver:
+    """Recursive flattening over a :class:`_FileAccess`."""
 
     def __init__(
         self,
+        files: _FileAccess,
         *,
-        read: Callable[[str], str | None],
-        resolve: Callable[[str, str], str],
-        display: Callable[[str], str],
-        find_rescue: Callable[[str], str | None],
         expand_subdags: bool = True,
         rescue: bool = False,
         max_depth: int = MAX_IMPORT_DEPTH,
     ):
-        self._read = read
-        self._resolve = resolve
-        self._display = display
-        self._find_rescue = find_rescue
+        self._read = files.read
+        self._resolve = files.resolve
+        self._display = files.display
+        self._find_rescue = files.find_rescue
         self._expand_subdags = expand_subdags
         self._rescue = rescue
         self._max_depth = max_depth
@@ -519,7 +599,9 @@ class _Resolver:
         flat.lines = lines
 
 
-def _finish(resolver: _Resolver, root_display: str) -> ImportedWorkflow:
+def _import(files: _FileAccess, **options) -> ImportedWorkflow:
+    resolver = _Resolver(files, **options)
+    resolver.run(files.root_key)
     try:
         dag = resolver.flat.to_dag()
     except CycleError as exc:
@@ -531,7 +613,7 @@ def _finish(resolver: _Resolver, root_display: str) -> ImportedWorkflow:
         flat=resolver.flat,
         meta=resolver.meta,
         sources=tuple(dict.fromkeys(resolver.sources)),
-        root=root_display,
+        root=files.display(files.root_key),
     )
 
 
@@ -551,32 +633,14 @@ def import_dagman_tree(
     the corpus generators and the property suites use — no filesystem,
     fully deterministic.
     """
-    files = dict(tree)
-    if root not in files:
+    if root not in tree:
         raise DagmanImportError(f"root {root!r} not in tree")
-
-    def read(key: str) -> str | None:
-        return files.get(key)
-
-    def resolve(base: str, ref: str) -> str:
-        return posixpath.normpath(posixpath.join(posixpath.dirname(base), ref))
-
-    def find_rescue(key: str) -> str | None:
-        return _newest_rescue(
-            [k for k in files if k.startswith(key + ".rescue")], key
-        )
-
-    resolver = _Resolver(
-        read=read,
-        resolve=resolve,
-        display=lambda key: key,
-        find_rescue=find_rescue,
+    return _import(
+        _tree_access(tree, root),
         expand_subdags=expand_subdags,
         rescue=rescue,
         max_depth=max_depth,
     )
-    resolver.run(root)
-    return _finish(resolver, root)
 
 
 def import_dagman_file(
@@ -593,49 +657,27 @@ def import_dagman_file(
     With ``rescue=True`` each file's newest rescue companion is applied;
     ``rescue_file=`` overrides the root's companion explicitly.
     """
-    root = Path(path).resolve()
-    root_dir = root.parent
-    override = (
-        str(Path(rescue_file).resolve()) if rescue_file is not None else None
-    )
-
-    def read(key: str) -> str | None:
-        try:
-            return Path(key).read_text()
-        except OSError:
-            return None
-
-    def resolve(base: str, ref: str) -> str:
-        return str((Path(base).parent / ref).resolve())
-
-    def display(key: str) -> str:
-        try:
-            return str(Path(key).relative_to(root_dir))
-        except ValueError:
-            return key
-
-    def find_rescue(key: str) -> str | None:
-        if override is not None and key == str(root):
-            return override
-        target = Path(key)
-        candidates = [
-            str(p)
-            for p in target.parent.glob(target.name + ".rescue*")
-            if p.is_file()
-        ]
-        return _newest_rescue(candidates, key)
-
-    resolver = _Resolver(
-        read=read,
-        resolve=resolve,
-        display=display,
-        find_rescue=find_rescue,
+    return _import(
+        _disk_access(path, rescue_file),
         expand_subdags=expand_subdags,
         rescue=rescue or rescue_file is not None,
         max_depth=max_depth,
     )
-    resolver.run(str(root))
-    return _finish(resolver, display(str(root)))
+
+
+def inline_splices(dagman: DagmanFile, path: str | Path) -> DagmanFile:
+    """*dagman*, parsed from the file at *path*, as DAGMan submits it.
+
+    A file without ``SPLICE`` statements comes back unchanged, its
+    original lines intact, so instrumenting it rewrites it in place.
+    Otherwise the tree is imported with ``SUBDAG EXTERNAL`` nodes kept
+    opaque (DAGMan inlines splices at submit time but runs each subdag
+    as its own instance) and the flat file is returned; that is what
+    ``prio import --no-subdags`` renders.
+    """
+    if not dagman.splices:
+        return dagman
+    return import_dagman_file(path, expand_subdags=False).flat
 
 
 def _newest_rescue(candidates: list[str], key: str) -> str | None:

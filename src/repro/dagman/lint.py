@@ -26,13 +26,19 @@ Findings carry a severity: ``error`` (DAGMan would refuse or wedge) or
 
 from __future__ import annotations
 
-import posixpath
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
 from ..dag.graph import CycleError, DagBuilder
-from .importer import MAX_IMPORT_DEPTH, _expand, _join_dir, _MACRO_RE
+from .importer import (
+    _MACRO_RE,
+    MAX_IMPORT_DEPTH,
+    _disk_access,
+    _expand,
+    _join_dir,
+    _tree_access,
+)
 from .model import DagmanFile
 from .parser import DagmanParseError, parse_dagman_text
 
@@ -184,52 +190,22 @@ def lint_dagman_tree(
             seen_findings.add(key)
             findings.append(Finding(severity, code, message, where))
 
-    if isinstance(source, Mapping):
-        files = dict(source)
-        root_dir: Path | None = None
-        root_key = root
-
-        def read(key: str) -> str | None:
-            return files.get(key)
-
-        def resolve(base: str, ref: str) -> str:
-            return posixpath.normpath(
-                posixpath.join(posixpath.dirname(base), ref)
-            )
-
-        def display(key: str) -> str:
-            return key
-
-    else:
-        root_path = Path(source).resolve()
-        root_dir = root_path.parent
-        root_key = str(root_path)
-
-        def read(key: str) -> str | None:
-            try:
-                return Path(key).read_text()
-            except OSError:
-                return None
-
-        def resolve(base: str, ref: str) -> str:
-            return str((Path(base).parent / ref).resolve())
-
-        def display(key: str) -> str:
-            try:
-                return str(Path(key).relative_to(root_dir))
-            except ValueError:
-                return key
+    files = (
+        _tree_access(source, root)
+        if isinstance(source, Mapping)
+        else _disk_access(source)
+    )
 
     def leftover_macros(text: str) -> list[str]:
         return sorted(set(_MACRO_RE.findall(text)))
 
     def check_dir(directory: str | None, scope: str | None, who: str) -> None:
-        if root_dir is None or not directory:
+        if files.root_dir is None or not directory:
             return
         if _MACRO_RE.search(directory):
             return  # unresolved macros reported separately
         composed = _join_dir(scope, directory)
-        if composed and not (root_dir / composed).is_dir():
+        if composed and not (files.root_dir / composed).is_dir():
             add(
                 "warning",
                 "missing-dir",
@@ -256,19 +232,19 @@ def lint_dagman_tree(
                 "undefined-macro",
                 f"{who} references undefined macro(s) "
                 f"{missing} in {ref!r}",
-                display(key),
+                files.display(key),
             )
             return
         sub_dir = _expand(directory, macros) if directory else None
         check_dir(sub_dir, scope, who)
-        target = resolve(key, expanded_ref)
+        target = files.resolve(key, expanded_ref)
         if target in chain:
-            loop = [display(k) for k in chain] + [display(target)]
+            loop = [files.display(k) for k in chain + (target,)]
             add(
                 "error",
                 "include-cycle",
                 "recursive include: " + " -> ".join(loop),
-                display(key),
+                files.display(key),
             )
             return
         if depth + 1 > max_depth:
@@ -276,7 +252,7 @@ def lint_dagman_tree(
                 "error",
                 "include-depth",
                 f"include nesting deeper than {max_depth}",
-                display(key),
+                files.display(key),
             )
             return
         walk(
@@ -285,7 +261,7 @@ def lint_dagman_tree(
             inherited=inherited,
             chain=chain + (target,),
             depth=depth + 1,
-            includer=display(key),
+            includer=files.display(key),
         )
 
     def walk(
@@ -297,26 +273,26 @@ def lint_dagman_tree(
         depth: int,
         includer: str | None,
     ) -> None:
-        text = read(key)
+        text = files.read(key)
         if text is None:
             add(
                 "error",
                 "missing-include",
-                f"cannot read workflow file {display(key)!r}",
+                f"cannot read workflow file {files.display(key)!r}",
                 includer,
             )
             return
         try:
             dagman = parse_dagman_text(text)
         except DagmanParseError as exc:
-            add("error", "parse-error", str(exc), display(key))
+            add("error", "parse-error", str(exc), files.display(key))
             return
         for finding in lint_dagman(dagman):
             add(
                 finding.severity,
                 finding.code,
                 finding.message,
-                display(key),
+                files.display(key),
             )
         for name, decl in dagman.jobs.items():
             node_vars = {**inherited, **dagman.vars_.get(name, {})}
@@ -347,7 +323,7 @@ def lint_dagman_tree(
                         "undefined-macro",
                         f"job {name!r} {what} references undefined "
                         f"macro(s) {missing} in {value!r}",
-                        display(key),
+                        files.display(key),
                     )
             check_dir(
                 _expand(decl.directory, macros) if decl.directory else None,
@@ -369,10 +345,10 @@ def lint_dagman_tree(
             )
 
     walk(
-        root_key,
+        files.root_key,
         scope=None,
         inherited={},
-        chain=(root_key,),
+        chain=(files.root_key,),
         depth=0,
         includer=None,
     )

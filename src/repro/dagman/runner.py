@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
+from .importer import _MACRO_RE
 from .jsdf import parse_jsdf
 from .model import JOBPRIORITY_MACRO, DagmanFile, JobDecl
 
@@ -52,8 +53,6 @@ __all__ = [
 ]
 
 Executor = Callable[[JobDecl, dict[str, str]], int]
-
-_MACRO_RE = re.compile(r"\$\((\w[\w.\-+]*)\)")
 
 
 class JobState(Enum):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cli import main
 from repro.core.tool import prioritize_dagman, prioritize_dagman_file
 from repro.dagman.parser import parse_dagman_text
 
@@ -156,3 +157,83 @@ class TestPrioritizeFile:
         result = prioritize_dagman_file(dagfile, combine="topological")
         # topological combine emits block {a,b} first: a gets top priority.
         assert result.priorities["a"] == 5
+
+
+class TestSpliceFiles:
+    """SPLICE files go through the importer, as ``prio import`` does."""
+
+    INNER = """\
+JOB in1 in1.sub
+JOB in2 in2.sub
+JOB in3 in3.sub
+PARENT in1 CHILD in2
+PARENT in1 CHILD in3
+VARS in2 site="remote"
+"""
+
+    OUTER = """\
+JOB setup setup.sub
+JOB teardown teardown.sub
+SPLICE block inner.dag
+PARENT setup CHILD block
+PARENT block CHILD teardown
+"""
+
+    def _write(self, tmp_path, files):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        return tmp_path / "outer.dag"
+
+    def _prio_and_import(self, outer, tmp_path):
+        a, b = tmp_path / "A.dag", tmp_path / "B.dag"
+        assert main(["prio", str(outer), "-o", str(a)]) == 0
+        assert main([
+            "import", str(outer), "--prioritize", "--no-subdags",
+            "-o", str(b),
+        ]) == 0
+        return a.read_bytes(), b.read_bytes()
+
+    def test_tool_integration(self, tmp_path):
+        self._write(
+            tmp_path, {"inner.dag": self.INNER, "outer.dag": self.OUTER}
+        )
+        with pytest.raises(ValueError, match="SPLICE"):
+            prioritize_dagman_file(tmp_path / "outer.dag")
+        out = tmp_path / "flat.dag"
+        result = prioritize_dagman_file(tmp_path / "outer.dag", output=out)
+        assert result.priorities["setup"] == 5
+        text = out.read_text()
+        assert "JOB block+in1" in text
+        assert 'VARS block+in1 jobpriority=' in text
+
+    def test_splice_output_matches_import_render(self, tmp_path, capsys):
+        outer = self._write(
+            tmp_path, {"inner.dag": self.INNER, "outer.dag": self.OUTER}
+        )
+        a, b = self._prio_and_import(outer, tmp_path)
+        assert a == b
+
+    def test_subdag_retry_and_script_lines_kept(self, tmp_path, capsys):
+        outer = self._write(tmp_path, {
+            "outer.dag": (
+                "JOB setup setup.sub\n"
+                "SPLICE block inner.dag\n"
+                "SUBDAG EXTERNAL nested nested.dag\n"
+                "PARENT setup CHILD block\n"
+                "PARENT block CHILD nested\n"
+            ),
+            "inner.dag": (
+                "JOB in1 in1.sub\n"
+                "JOB in2 in2.sub\n"
+                "PARENT in1 CHILD in2\n"
+                "RETRY in1 3\n"
+                "SCRIPT POST in2 check.sh $(JOB)\n"
+            ),
+            "nested.dag": "JOB n n.sub\n",
+        })
+        a, b = self._prio_and_import(outer, tmp_path)
+        lines = a.decode().splitlines()
+        assert "SUBDAG EXTERNAL nested nested.dag" in lines
+        assert "RETRY block+in1 3" in lines
+        assert "SCRIPT POST block+in2 check.sh $(JOB)" in lines
+        assert a == b

@@ -343,3 +343,88 @@ class TestDiskFrontend:
             "chunk": "7",
         }
         assert payload["dag"]["n"] == w.n_jobs
+
+
+class TestSpliceInlining:
+    """DAGMan's SPLICE semantics, on the in-memory and on-disk loaders."""
+
+    INNER = (
+        "JOB in1 in1.sub\n"
+        "JOB in2 in2.sub\n"
+        "JOB in3 in3.sub\n"
+        "PARENT in1 CHILD in2\n"
+        "PARENT in1 CHILD in3\n"
+        'VARS in2 site="remote"\n'
+    )
+    OUTER = (
+        "JOB setup setup.sub\n"
+        "JOB teardown teardown.sub\n"
+        "SPLICE block inner.dag\n"
+        "PARENT setup CHILD block\n"
+        "PARENT block CHILD teardown\n"
+    )
+
+    def _flat(self, outer=OUTER):
+        tree = {"outer.dag": outer, "inner.dag": self.INNER}
+        return import_dagman_tree(tree, "outer.dag").flat
+
+    def test_jobs_prefixed(self):
+        assert set(self._flat().jobs) == {
+            "setup",
+            "teardown",
+            "block+in1",
+            "block+in2",
+            "block+in3",
+        }
+
+    def test_arcs_attach_to_sources_and_sinks(self):
+        arcs = set(self._flat().arcs)
+        assert ("setup", "block+in1") in arcs          # inner source
+        assert ("block+in2", "teardown") in arcs       # inner sinks
+        assert ("block+in3", "teardown") in arcs
+        assert ("block+in1", "block+in2") in arcs      # inner arc kept
+
+    def test_vars_carried_over(self):
+        assert self._flat().vars_["block+in2"]["site"] == "remote"
+
+    def test_dag_structure(self):
+        dag = self._flat().to_dag()
+        assert dag.n == 5
+        assert [dag.label(u) for u in dag.sources()] == ["setup"]
+        assert [dag.label(u) for u in dag.sinks()] == ["teardown"]
+
+    def test_dir_composes(self):
+        tree = {
+            "outer.dag": "SPLICE s inner.dag DIR outerdir\n",
+            "inner.dag": "JOB j j.sub DIR innerdir\n",
+        }
+        flat = import_dagman_tree(tree, "outer.dag").flat
+        assert flat.jobs["s+j"].directory == "outerdir/innerdir"
+
+    def test_splice_to_splice_arcs(self):
+        flat = self._flat(
+            "SPLICE a inner.dag\nSPLICE b inner.dag\nPARENT a CHILD b\n"
+        )
+        assert ("a+in2", "b+in1") in flat.arcs
+        assert ("a+in3", "b+in1") in flat.arcs
+
+    def test_nested_recursion(self, tmp_path):
+        (tmp_path / "leaf.dag").write_text("JOB x x.sub\n")
+        (tmp_path / "mid.dag").write_text(
+            "SPLICE inner leaf.dag\nJOB m m.sub\nPARENT m CHILD inner\n"
+        )
+        (tmp_path / "top.dag").write_text("SPLICE block mid.dag\n")
+        flat = import_dagman_file(tmp_path / "top.dag").flat
+        assert set(flat.jobs) == {"block+m", "block+inner+x"}
+        assert ("block+m", "block+inner+x") in flat.arcs
+
+    def test_cycle_detected(self, tmp_path):
+        (tmp_path / "a.dag").write_text("SPLICE b b.dag\n")
+        (tmp_path / "b.dag").write_text("SPLICE a a.dag\n")
+        with pytest.raises(DagmanImportError, match="recursive"):
+            import_dagman_file(tmp_path / "a.dag")
+
+    def test_missing_file(self, tmp_path):
+        (tmp_path / "a.dag").write_text("SPLICE b nowhere.dag\n")
+        with pytest.raises(DagmanImportError, match="nowhere.dag"):
+            import_dagman_file(tmp_path / "a.dag")

@@ -145,3 +145,42 @@ class TestToDag:
         path.write_text("JOB a a.sub\nJOB b b.sub\nPARENT a CHILD b\n")
         f = parse_dagman_file(path)
         assert f.to_dag().n == 2
+
+
+class TestSpliceAndSubdag:
+    OUTER = (
+        "JOB setup setup.sub\n"
+        "JOB teardown teardown.sub\n"
+        "SPLICE block inner.dag\n"
+        "PARENT setup CHILD block\n"
+        "PARENT block CHILD teardown\n"
+    )
+
+    def test_splice_statement(self):
+        f = parse_dagman_text(self.OUTER)
+        assert f.splices["block"].file == "inner.dag"
+
+    def test_splice_with_dir(self):
+        f = parse_dagman_text("SPLICE s sub.dag DIR work\n")
+        assert f.splices["s"].directory == "work"
+
+    def test_splice_validation(self):
+        with pytest.raises(DagmanParseError):
+            parse_dagman_text("SPLICE onlyname\n")
+        with pytest.raises(DagmanParseError, match="duplicate"):
+            parse_dagman_text("SPLICE s a.dag\nSPLICE s b.dag\n")
+        with pytest.raises(DagmanParseError, match="unexpected"):
+            parse_dagman_text("SPLICE s a.dag FROB nicate\n")
+
+    def test_subdag_external_is_a_job(self):
+        f = parse_dagman_text("SUBDAG EXTERNAL child child.dag\n")
+        assert f.jobs["child"].submit_file == "child.dag"
+
+    def test_subdag_validation(self):
+        with pytest.raises(DagmanParseError, match="EXTERNAL"):
+            parse_dagman_text("SUBDAG INTERNAL x y.dag\n")
+
+    def test_to_dag_requires_flat(self):
+        f = parse_dagman_text(self.OUTER)
+        with pytest.raises(ValueError, match="flatten"):
+            f.to_dag()

@@ -39,6 +39,37 @@ class TestPrioCommand:
         main(["prio", str(fig3_file), "-v"])
         assert "c, a, b, d, e" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "files, output",
+        [
+            pytest.param({}, False, id="missing-input"),
+            pytest.param(
+                {"top.dag": "SPLICE s inner.dag\n", "inner.dag": "JOB a a\n"},
+                False,
+                id="splice-without-output",
+            ),
+            pytest.param(
+                {"top.dag": "SPLICE s gone.dag\n"}, True, id="missing-splice"
+            ),
+            pytest.param(
+                {"top.dag": "SPLICE s b.dag\n", "b.dag": "SPLICE t top.dag\n"},
+                True,
+                id="splice-cycle",
+            ),
+        ],
+    )
+    def test_bad_input_is_one_line_error(
+        self, tmp_path, capsys, files, output
+    ):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = ["prio", str(tmp_path / "top.dag")]
+        if output:
+            argv += ["-o", str(tmp_path / "flat.dag")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestScheduleCommand:
     def test_prio_schedule_of_file(self, fig3_file, capsys):
