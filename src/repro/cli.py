@@ -62,7 +62,7 @@ from .analysis.sweep import SweepConfig, paper_grid, ratio_sweep
 from .core.prio import prio_schedule
 from .core.tool import prioritize_dagman_file
 from .dag.graph import Dag
-from .dagman.parser import parse_dagman_file
+from .dagman.parser import DagmanParseError, parse_dagman_file
 from .sim.engine import SimParams, make_policy, simulate
 from .sim.policies import cli_policy_names, policy_spec
 from .workloads.registry import get_workload, workload_names
@@ -854,7 +854,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         findings = lint_dagman_tree(path)
         label = f"{path.name} (tree)"
     else:
-        dagman = parse_dagman_file(path)
+        try:
+            dagman = parse_dagman_file(path)
+        except (OSError, DagmanParseError) as exc:
+            raise CliError(str(exc)) from None
         findings = lint_dagman(
             dagman, root=path.parent if args.check_jsdfs else None
         )
@@ -896,7 +899,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     path = Path(args.dagfile)
     try:
         dagman = inline_splices(parse_dagman_file(path), path)
-    except DagmanImportError as exc:
+    except (OSError, DagmanParseError, DagmanImportError) as exc:
         raise CliError(str(exc)) from None
     if args.prioritize:
         from .core.tool import prioritize_dagman

@@ -103,7 +103,8 @@ def prioritize_dagman_file(
         Also insert the priority line into each job's submit description
         file (resolved against *jsdf_root*, default the DAGMan file's
         directory, honoring each job's ``DIR``).  Missing files are
-        reported, not fatal.
+        reported, not fatal.  ``SUBDAG EXTERNAL`` nodes are skipped: their
+        file is a nested ``.dag``, not a submit description.
     """
     path = Path(path)
     dagman = parse_dagman_file(path)
@@ -120,6 +121,8 @@ def prioritize_dagman_file(
         root = Path(jsdf_root) if jsdf_root is not None else path.parent
         seen: set[Path] = set()
         for decl in dagman.jobs.values():
+            if decl.is_subdag:
+                continue  # its file is a .dag, not a submit description
             base = root / decl.directory if decl.directory else root
             jsdf_path = base / decl.submit_file
             if jsdf_path in seen:

@@ -388,6 +388,10 @@ class _Resolver:
             )
         dagman = self._parse(key, chain[:-1])
         rescue_done = self._rescue_done(key)
+        source = self._display(key)
+        scripts_of: dict[str, dict[str, str]] = {}
+        for (job, when), cmd in dagman.scripts.items():
+            scripts_of.setdefault(job, {})[when] = cmd
 
         # Units in true statement order (JOB/DATA/SUBDAG and SPLICE are
         # parsed into separate maps; the preserved lines recover the
@@ -421,7 +425,7 @@ class _Resolver:
                 unit_sources[name], unit_sinks[name] = src, snk
                 continue
             self._emit_job(
-                flat_name, decl, key,
+                flat_name, decl, source,
                 directory=_join_dir(scope_dir, _expand(
                     decl.directory, {**node_vars, "JOB": flat_name}
                 ) if decl.directory else None),
@@ -431,11 +435,7 @@ class _Resolver:
                 vars_=node_vars,
                 retries=node_retry,
                 done=node_done,
-                scripts={
-                    when: cmd
-                    for (job, when), cmd in dagman.scripts.items()
-                    if job == name
-                },
+                scripts=scripts_of.get(name, {}),
                 depth=depth,
             )
             unit_sources[name] = unit_sinks[name] = [flat_name]
@@ -445,7 +445,7 @@ class _Resolver:
             for endpoint in (p, c):
                 if endpoint not in unit_sources:
                     raise DagmanImportError(
-                        f"{self._display(key)}: dependency references "
+                        f"{source}: dependency references "
                         f"undeclared name {endpoint!r}"
                     )
             for pp in unit_sinks[p]:
@@ -518,7 +518,7 @@ class _Resolver:
         self,
         flat_name: str,
         decl: JobDecl,
-        key: str,
+        source: str,
         *,
         directory: str | None,
         submit_file: str,
@@ -531,7 +531,7 @@ class _Resolver:
         if flat_name in self.flat.jobs:
             raise DagmanImportError(
                 f"job name clash after flattening: {flat_name!r} "
-                f"(declared again in {self._display(key)})"
+                f"(declared again in {source})"
             )
         self.flat.jobs[flat_name] = JobDecl(
             name=flat_name,
@@ -558,7 +558,7 @@ class _Resolver:
             noop=decl.noop,
             is_data=decl.is_data,
             is_subdag=decl.is_subdag,
-            source=self._display(key),
+            source=source,
             depth=depth,
         )
 

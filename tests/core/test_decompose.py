@@ -1,5 +1,7 @@
 """Tests for the C(s)-closure decomposition (Step 2)."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -163,3 +165,113 @@ class TestRandomized:
         reduced, _ = remove_shortcuts(d)
         dec = decompose(reduced)
         check_invariants(reduced, dec)
+
+
+def _all_closures_reference(sources, children_of, parents_of, alive, apc):
+    """The minimality search as first written: build every C(s) and keep
+    the smallest, ties to the lowest s.  Test-only oracle for the
+    linear-time search in ``decompose._minimal_closure``."""
+
+    def closure(s):
+        S, T = {s}, set()
+        src_stack, t_stack = [s], []
+        while src_stack or t_stack:
+            if src_stack:
+                for c in children_of(src_stack.pop()):
+                    if c not in T and c not in S:
+                        T.add(c)
+                        t_stack.append(c)
+            else:
+                for p in parents_of(t_stack.pop()):
+                    if not alive[p] or p in S or p in T:
+                        continue
+                    if apc[p] == 0:
+                        S.add(p)
+                        src_stack.append(p)
+                    else:
+                        T.add(p)
+                        t_stack.append(p)
+        return S, T
+
+    candidates = [closure(s) + (s,) for s in sources]
+    S, T, _ = min(candidates, key=lambda e: (len(e[0]) + len(e[1]), e[2]))
+    return S, T
+
+
+def _assert_same_as_reference(dag, monkeypatch):
+    """Decompose *dag* with both searches; return the general-block count."""
+    # ``repro.core.decompose`` the attribute is the function; fetch the module.
+    module = importlib.import_module("repro.core.decompose")
+    fast = decompose(dag)
+    with monkeypatch.context() as m:
+        m.setattr(module, "_minimal_closure", _all_closures_reference)
+        ref = decompose(dag)
+    assert fast.components == ref.components
+    assert fast.comp_of == ref.comp_of
+    assert fast.super_children == ref.super_children
+    assert fast.super_parents == ref.super_parents
+    return sum(1 for c in fast.components if not c.is_bipartite)
+
+
+class TestMinimalClosureSearch:
+    """The SCC-based search picks the same closure as the all-closures one."""
+
+    def test_random_dags(self, monkeypatch):
+        from repro.dag.builders import layered_random, random_dag
+
+        rng = np.random.default_rng(2006)
+        general = 0
+        for i in range(300):
+            if i % 2:
+                d = random_dag(
+                    int(rng.integers(2, 40)), float(rng.uniform(0.05, 0.4)), rng
+                )
+            else:
+                widths = [int(rng.integers(1, 8)) for _ in range(rng.integers(2, 6))]
+                d = layered_random(widths, float(rng.uniform(0.2, 0.7)), rng)
+            reduced, _ = remove_shortcuts(d)
+            general += _assert_same_as_reference(reduced, monkeypatch)
+        assert general > 0  # the general path ran
+
+    def test_equal_closures_tie_to_lowest_source(self, monkeypatch):
+        # Two disjoint crossed-fork blocks (see TestNonBipartite) of equal
+        # size with interleaved source ids: {0, 3} and {1, 2}.  The block
+        # holding the lowest source, 0, is detached first.
+        arcs = []
+        for a, b, p, q, t, u in ((0, 3, 4, 5, 8, 9), (1, 2, 6, 7, 10, 11)):
+            arcs += [(a, p), (p, t), (b, t), (b, q), (q, u), (a, u)]
+        d = Dag(12, arcs)
+        assert _assert_same_as_reference(d, monkeypatch) == 2
+        assert decompose(d).components[0].nonsinks == (0, 3, 4, 5)
+
+    def test_full_inspiral(self, monkeypatch):
+        from repro.workloads.registry import get_workload
+
+        reduced, _ = remove_shortcuts(get_workload("inspiral"))
+        assert _assert_same_as_reference(reduced, monkeypatch) > 0
+
+    def test_incremental_remnant_views(self, monkeypatch):
+        # Capture the _RemnantView objects the live scheduler hands to
+        # decompose along a PRIO execution order of inspiral-small.
+        from repro.core.prio import prio_schedule
+        from repro.live import incremental
+        from repro.workloads.registry import get_workload
+
+        dag = get_workload("inspiral-small")
+        views = []
+
+        def capture(view):
+            views.append(view)
+            return decompose(view)
+
+        scheduler = incremental.IncrementalScheduler(dag)
+        order = prio_schedule(dag).schedule
+        with monkeypatch.context() as m:
+            m.setattr(incremental, "decompose", capture)
+            for k in range(0, dag.n, 4):
+                scheduler.priorities(set(order[:k]))
+        assert views and all(
+            isinstance(v, incremental._RemnantView) for v in views
+        )
+        general = sum(_assert_same_as_reference(v, monkeypatch) for v in views)
+        assert general > 0

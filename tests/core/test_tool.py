@@ -152,6 +152,24 @@ class TestPrioritizeFile:
         result = prioritize_dagman_file(dagfile, instrument_jsdfs=True)
         assert result.instrumented_jsdfs == [str(tmp_path / "subdir" / "x.sub")]
 
+    def test_subdag_file_not_instrumented(self, tmp_path):
+        dagfile = tmp_path / "outer.dag"
+        dagfile.write_text(
+            "JOB x x.sub\nSUBDAG EXTERNAL inner inner.dag\n"
+            "PARENT x CHILD inner\n"
+        )
+        (tmp_path / "x.sub").write_text(JSDF)
+        nested = tmp_path / "inner.dag"
+        nested.write_text("JOB n n.sub\n")
+        before = nested.read_bytes()
+        result = prioritize_dagman_file(
+            dagfile, output=tmp_path / "out.dag", instrument_jsdfs=True
+        )
+        assert nested.read_bytes() == before
+        assert str(nested) not in result.instrumented_jsdfs
+        assert str(nested) not in result.missing_jsdfs
+        assert result.instrumented_jsdfs == [str(tmp_path / "x.sub")]
+
     def test_prio_kwargs_forwarded(self, tmp_path):
         dagfile = self._write_workflow(tmp_path, jsdfs=False)
         result = prioritize_dagman_file(dagfile, combine="topological")

@@ -101,6 +101,36 @@ class TestFlattening:
         w = import_dagman_tree(tree, "root.dag")
         assert w.flat.scripts[("s+a", "post")] == "check.sh $(JOB)"
 
+    def test_scripts_grouped_per_job_in_file_order(self):
+        # Scripts come out job by job in declaration order, each job's in
+        # the order its SCRIPT lines appear; jobs without any emit none.
+        tree = {
+            "root.dag": "JOB z z.sub\nSPLICE s inner.dag\nPARENT z CHILD s\n",
+            "inner.dag": (
+                "JOB a a.sub\nJOB b b.sub\nJOB c c.sub\nJOB d d.sub\n"
+                "SCRIPT POST c post_c.sh\n"
+                "SCRIPT PRE a pre_a.sh\n"
+                "SCRIPT POST a post_a.sh $(JOB)\n"
+                "SCRIPT PRE c pre_c.sh $(RETURN)\n"
+                "PARENT a CHILD b c\nPARENT b c CHILD d\n"
+            ),
+        }
+        w = import_dagman_tree(tree, "root.dag")
+        assert list(w.flat.scripts) == [
+            ("s+a", "pre"), ("s+a", "post"), ("s+c", "post"), ("s+c", "pre"),
+        ]
+        assert w.render() == (
+            "JOB z z.sub\nJOB s+a a.sub\nJOB s+b b.sub\nJOB s+c c.sub\n"
+            "JOB s+d d.sub\n"
+            "PARENT s+a CHILD s+b\nPARENT s+a CHILD s+c\n"
+            "PARENT s+b CHILD s+d\nPARENT s+c CHILD s+d\n"
+            "PARENT z CHILD s+a\n"
+            "SCRIPT PRE s+a pre_a.sh\n"
+            "SCRIPT POST s+a post_a.sh $(JOB)\n"
+            "SCRIPT POST s+c post_c.sh\n"
+            "SCRIPT PRE s+c pre_c.sh $(RETURN)\n"
+        )
+
     def test_meta_source_and_depth(self):
         w = import_dagman_tree(_cax_like(), "outer.dag")
         assert w.meta["prep"].source == "outer.dag"

@@ -250,6 +250,26 @@ class TestRunCommand:
         assert "JOB one touch.sub DONE" in rescue.read_text()
 
 
+class TestUnreadableDagfile:
+    """``prio run`` and ``prio lint`` fail in one line, as ``prio`` does."""
+
+    @pytest.mark.parametrize("command", ["run", "lint"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param(None, id="missing"),
+            pytest.param("JOB a a.sub\nFOO bar\n", id="malformed"),
+        ],
+    )
+    def test_one_line_error(self, tmp_path, capsys, command, text):
+        dagfile = tmp_path / "flow.dag"
+        if text is not None:
+            dagfile.write_text(text)
+        assert main([command, str(dagfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 class TestAdvanceCommand:
     """`prio advance`: event files against a checkpointed live session."""
 
